@@ -7,6 +7,8 @@ comparison survives pytest's output capture.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.evaluation import get_or_build_system
@@ -55,9 +57,14 @@ def pytest_collection_modifyitems(config, items):
     pytest-benchmark skips tests that don't request the ``benchmark``
     fixture when ``--benchmark-only`` is passed; in this directory those
     tests ARE the benchmark deliverable (they regenerate the paper's
-    tables), so opt every collected item into the fixture.
+    tables), so opt every item collected here into the fixture.  The
+    hook sees the whole session's items; tests outside this directory
+    are left alone.
     """
+    here = Path(__file__).resolve().parent
     for item in items:
+        if here not in Path(item.path).resolve().parents:
+            continue
         names = getattr(item, "fixturenames", None)
         if names is not None and "benchmark" not in names:
             names.append("benchmark")

@@ -3,7 +3,7 @@
 Every benchmark prints "paper" rows (these constants) next to "ours" rows
 (measured on the simulator substrate).  Absolute values are not expected
 to match — the substrate is a simulator, not the authors' testbed — but
-the orderings and rough ratios should (see DESIGN.md, shape targets).
+the orderings and rough ratios (the shape targets) should.
 """
 
 from __future__ import annotations

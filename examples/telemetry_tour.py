@@ -4,7 +4,7 @@ Walks every layer of the observability substrate over one instrumented
 closed-loop drive:
 
 1. **Spans** — run a drive with tracing on, print the nested span tree
-   (``drive > frame > gate / branch:<config>``) and export the JSONL
+   (``drive > step > gate / frame / branches``) and export the JSONL
    trace that ``scripts/trace_report.py`` consumes.
 2. **Metrics** — the same drive fills a registry with counters, gauges
    and fixed-bucket histograms; print frame-latency percentiles, the

@@ -121,17 +121,6 @@ class BranchOutputCache:
         self._stats["fused"][0 if hit is not None else 1] += 1
         return hit
 
-    def peek_fused(self, sample: Sample, config_name: str) -> bool:
-        """True if a fused output is memoized — without touching stats.
-
-        The tracer uses this for the per-frame cache-hit attribute; a
-        stat-free probe keeps tracing from inflating hit counts.
-        """
-        return (
-            self.memoize_outputs
-            and (sample.uid, config_name) in self._fused
-        )
-
     def put_fused(
         self, sample: Sample, config_name: str, detections: Detections
     ) -> None:

@@ -1,7 +1,8 @@
 """``repro.datasets`` — the RADIATE-like multi-sensor driving dataset.
 
-Stands in for the public RADIATE dataset used by the paper (no network
-access in this environment); see DESIGN.md for the substitution argument.
+Stands in for the public RADIATE dataset used by the paper, which the
+package does not download: scenes are rendered procedurally with the
+same sensors, classes and driving contexts (see ``radiate``).
 """
 
 from .contexts import (

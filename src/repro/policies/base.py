@@ -107,9 +107,9 @@ class PolicyObservation:
     features:
         Per-sensor stem feature tensors, when the policy's gate needed
         them this frame (read-only, shared with the runner's execution
-        path).  In windowed execution the tensors cover the whole
-        lookahead window; custom feature-hungry policies should index
-        rows by position within the window.
+        path).  The tensors cover every item of the drive step that
+        shares this policy's base gate; custom feature-hungry policies
+        should index rows by position among those items.
     """
 
     time_index: int

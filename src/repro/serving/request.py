@@ -129,9 +129,9 @@ class ServingConfig:
     """Scheduler knobs: latency/throughput trade-off and admission bounds.
 
     * ``mode="batched"`` coalesces pending frames across streams into
-      cross-drive batches (throughput); ``mode="streaming"`` runs every
-      frame through the sequential ``window=1`` path (the latency
-      baseline — exactly what a deployed single stream would run).
+      cross-drive batches (throughput); ``mode="streaming"`` serves
+      every frame in a batch of one (the latency baseline — exactly
+      what a deployed single stream would run).
     * ``max_batch`` caps cross-stream batch occupancy; larger batches
       amortize dispatch but each frame waits for the whole batch.
     * ``max_active_streams`` bounds resident per-stream state;
@@ -149,16 +149,6 @@ class ServingConfig:
       Frames are a pure function of (scenario, seed), so sharing moves
       wall-clock, never bits; streams admitted after a source has
       started get their own private source.
-    * ``ingest_workers`` pipelines frame ingest in batched mode: while
-      a cross-stream batch computes, this many background threads pull
-      the *next* frame of the just-served streams off their sources.
-      Frame generation is a pure function of (scenario, seed) and never
-      touches inference state, so overlap moves wall-clock, never bits.
-      Streaming mode always ingests synchronously — a lone deployed
-      stream's next frame does not exist until it arrives, and that is
-      the latency baseline being modeled.  Default 0 (off): overlap
-      only pays on multi-core hosts where rendering's numpy sections
-      release the GIL.
     * ``errors`` is the per-stream retry/quarantine policy (``None``
       uses the :class:`StreamErrorPolicy` defaults).
     """
@@ -171,7 +161,6 @@ class ServingConfig:
     health: HealthMonitorConfig | None = None
     max_cache_entries: int = 200_000
     dedupe_sources: bool = True
-    ingest_workers: int = 0
     errors: StreamErrorPolicy | None = None
 
     def __post_init__(self) -> None:
@@ -179,10 +168,8 @@ class ServingConfig:
             raise ValueError(f"unknown serving mode: {self.mode!r}")
         if self.max_batch < 1 or self.max_active_streams < 1:
             raise ValueError("max_batch and max_active_streams must be >= 1")
-        if (self.queue_capacity < 0 or self.max_cache_entries < 0
-                or self.ingest_workers < 0):
-            raise ValueError("queue_capacity/max_cache_entries/"
-                             "ingest_workers must be >= 0")
+        if self.queue_capacity < 0 or self.max_cache_entries < 0:
+            raise ValueError("queue_capacity/max_cache_entries must be >= 0")
 
     @property
     def error_policy(self) -> StreamErrorPolicy:

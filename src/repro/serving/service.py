@@ -21,9 +21,8 @@ Because every batched stage is batch-invariant, each served stream's
 trace is bit-identical to running it alone offline — batching changes
 wall-clock, never bits.
 
-``mode="streaming"`` instead steps each frame through the sequential
-``window=1`` path — the per-frame latency baseline of a deployed single
-stream (PR 4's deployment-mode follow-up).
+``mode="streaming"`` instead serves each stream's frame in a batch of
+one — the per-frame latency baseline of a deployed single stream.
 
 Work dedup is the other throughput lever: all workers share one
 branch-output cache (cached == fresh, bit for bit), and with
@@ -69,7 +68,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from time import perf_counter
 
@@ -165,13 +163,12 @@ class _Stream:
     """Resident state of one active drive stream."""
 
     __slots__ = ("handle", "spec", "policy", "state", "initial_soc",
-                 "frames", "next_frame", "pending", "shared",
-                 "frames_done", "ready_at", "checkpoint", "attempts",
-                 "blocked_until", "solo_until", "source", "cid")
+                 "frames", "next_frame", "frames_done", "ready_at",
+                 "checkpoint", "attempts", "blocked_until", "solo_until",
+                 "source", "cid")
 
     def __init__(self, handle: StreamHandle, spec, policy, state,
-                 frames, shared: bool = False,
-                 source: _SharedSource | None = None,
+                 frames, source: _SharedSource | None = None,
                  cid: int = -1) -> None:
         self.handle = handle
         self.spec = spec
@@ -179,11 +176,9 @@ class _Stream:
         self.state = state
         self.initial_soc = state.battery.soc
         self.frames = frames
-        self.shared = shared  # multi-consumer source: ingest stays sync
         self.source = source
         self.cid = cid
         self.next_frame = next(frames, None)
-        self.pending = None  # in-flight ingest future (batched mode)
         self.frames_done = 0
         self.ready_at = perf_counter()
         self.checkpoint = None  # last DriveCheckpoint (retry restore point)
@@ -281,7 +276,6 @@ class DriveService:
         self._quarantined = 0
         self._ticks = 0
         self._thread: threading.Thread | None = None
-        self._ingest: ThreadPoolExecutor | None = None
         self._sources: dict[tuple, _SharedSource] = {}
         self._stopping = False
 
@@ -345,16 +339,13 @@ class DriveService:
                 handles.append(self.submit(request, block=block,
                                            timeout=None))
         if self._thread is None:
-            try:
-                while not all(h.done() for h in handles):
-                    did_work = self._tick()
-                    # An idle tick with streams still resident is normal
-                    # under retry backoff (ticks are the backoff clock);
-                    # only a truly empty scheduler is a wedged one.
-                    if not did_work and not self._has_pending_work():
-                        break
-            finally:
-                self._shutdown_ingest()
+            while not all(h.done() for h in handles):
+                did_work = self._tick()
+                # An idle tick with streams still resident is normal
+                # under retry backoff (ticks are the backoff clock);
+                # only a truly empty scheduler is a wedged one.
+                if not did_work and not self._has_pending_work():
+                    break
         return [h.result() for h in handles]
 
     def _has_pending_work(self) -> bool:
@@ -397,7 +388,6 @@ class DriveService:
         thread.join()
         self._thread = None
         self._stopping = False
-        self._shutdown_ingest()
 
     def __enter__(self) -> "DriveService":
         return self.start()
@@ -461,18 +451,6 @@ class DriveService:
         self._admit()
         did_work = False
         for worker in self._workers:
-            # Wait for every in-flight ingest before batching: the
-            # renders were submitted before the previous batch's
-            # inference, so by now they are done or nearly done — and
-            # taking only the early finishers would fragment the batch
-            # (occupancy is where the throughput lives).
-            pending = [
-                s.pending for s in worker.streams if s.pending is not None
-            ]
-            if pending:
-                wait(pending)
-                did_work = True
-            self._poll_ingest(worker)
             batch = worker.take_batch(self.config.max_batch, self._ticks)
             if not batch:
                 continue
@@ -546,7 +524,6 @@ class DriveService:
                      error: BaseException) -> None:
         """Evict an active stream (cancel/deadline): slot frees now."""
         stream.handle._fail(error)
-        stream.pending = None
         if stream.source is not None:
             stream.source.release(stream.cid)
             stream.source = None
@@ -556,45 +533,6 @@ class DriveService:
             self._completed += 1
             self._lock.notify_all()
         self._count_control(stream.handle, error)
-
-    # ------------------------------------------------------------------
-    # Pipelined ingest (batched mode): render next frames off-thread
-    # ------------------------------------------------------------------
-    def _ingest_pool(self) -> ThreadPoolExecutor | None:
-        if self.config.mode != "batched" or self.config.ingest_workers == 0:
-            return None
-        if self._ingest is None:
-            self._ingest = ThreadPoolExecutor(
-                max_workers=self.config.ingest_workers,
-                thread_name_prefix="drive-ingest",
-            )
-        return self._ingest
-
-    def _shutdown_ingest(self) -> None:
-        if self._ingest is not None:
-            self._ingest.shutdown(wait=True)
-            self._ingest = None
-
-    def _poll_ingest(self, worker: _Worker) -> None:
-        """Land finished ingest futures; close streams that ran dry.
-
-        Runs on the scheduler thread only — stream state is never
-        touched from the ingest pool (it just advances the frame
-        source), so batching and bookkeeping stay single-owner.
-        """
-        for stream in list(worker.streams):
-            pending = stream.pending
-            if pending is None or not pending.done():
-                continue
-            stream.pending = None
-            try:
-                stream.next_frame = pending.result()
-            except Exception as error:  # frame source failed mid-drive
-                self._handle_stream_failure(worker, stream, error)
-                continue
-            stream.ready_at = perf_counter()
-            if stream.next_frame is None:
-                self._finish_stream(worker, stream)
 
     def _admit(self) -> None:
         admitted: list[StreamHandle] = []
@@ -620,9 +558,8 @@ class DriveService:
             worker = self._workers[handle.stream_id % len(self._workers)]
             try:
                 state = worker.runner.open_drive(policy)
-                shared = source is not None and len(source.cursors) > 1
                 stream = _Stream(handle, spec, policy, state, frames,
-                                 shared, source, cid)
+                                 source, cid)
                 # Admission checkpoint: a stream that fails on its very
                 # first frame still has a restore point (frame 0, fresh
                 # state; restore fast-forwards, so shared sources and
@@ -684,18 +621,7 @@ class DriveService:
         tracer = self.telemetry.tracer
         metrics = (self.telemetry.metrics
                    if self.telemetry.metrics.enabled else None)
-        # Pipelined ingest: the frames being served this batch are
-        # already rendered, and a stream's *next* frame is a pure
-        # function of (scenario, seed) — kick its render off now so it
-        # overlaps with this batch's inference.
         frames = [s.next_frame for s in batch]
-        ingest = self._ingest_pool()
-        if ingest is not None:
-            for stream in batch:
-                if stream.shared:
-                    continue  # multi-consumer sources pull on-thread only
-                stream.next_frame = None
-                stream.pending = ingest.submit(next, stream.frames, None)
         failed: set[int] = set()
         compile_ctx = engine.use_compiled() if config.compiled else nullcontext()
         with tracer.span("serve.batch", occupancy=len(batch),
@@ -705,10 +631,10 @@ class DriveService:
                     for stream, frame in zip(batch, frames):
                         try:
                             self._inject(stream, frame)
-                            worker.runner._step_sequential(
+                            worker.runner.serve_batch([(
                                 frame, stream.spec, stream.policy,
                                 stream.state,
-                            )
+                            )])
                         except Exception as error:
                             self._handle_stream_failure(worker, stream,
                                                         error)
@@ -763,11 +689,14 @@ class DriveService:
                     initial_soc=stream.initial_soc,
                     frame_index=stream.frames_done, cursor=None,
                 )
-            if stream.pending is None:  # synchronous ingest
+            try:
                 stream.next_frame = next(stream.frames, None)
-                stream.ready_at = perf_counter()
-                if stream.next_frame is None:
-                    self._finish_stream(worker, stream)
+            except Exception as error:  # frame source failed mid-drive
+                self._handle_stream_failure(worker, stream, error)
+                continue
+            stream.ready_at = perf_counter()
+            if stream.next_frame is None:
+                self._finish_stream(worker, stream)
         self.cache.trim(config.max_cache_entries)
 
     def _inject(self, stream: _Stream, frame) -> None:
@@ -829,7 +758,6 @@ class DriveService:
             stream.source.release(stream.cid)
             stream.source = None
             stream.cid = -1
-            stream.shared = False
             self._prune_sources()
         source = DriveSource(
             stream.spec, seed=stream.handle.request.seed,
@@ -837,7 +765,6 @@ class DriveService:
         )
         cursor = runner.resume_cursor(source, checkpoint)
         stream.frames = cursor
-        stream.pending = None
         stream.next_frame = next(cursor, None)
         stream.frames_done = checkpoint.frame_index
         stream.ready_at = perf_counter()
@@ -846,7 +773,6 @@ class DriveService:
                     error: BaseException) -> None:
         """Retries exhausted: surface the error, free the slot."""
         stream.handle._fail(error)
-        stream.pending = None
         if stream.source is not None:
             stream.source.release(stream.cid)
             stream.source = None

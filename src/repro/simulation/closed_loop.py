@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -81,7 +82,7 @@ TRACE_SCHEMA_VERSION = 2
 # its introduction.
 DRIVE_METRICS_SCHEMA_VERSION = 1
 
-# Shared inert tracer for drives without telemetry: the windowed path is
+# Shared inert tracer for drives without telemetry: the drive step is
 # single-source (no duplicated instrumented/plain variants) because every
 # span it opens is this tracer's free no-op when telemetry is off.
 _NULL_TRACER = NullTracer()
@@ -366,24 +367,24 @@ class _FrameAccount:
 
 @dataclass
 class _DriveState:
-    """Mutable per-drive state threaded through both execution modes."""
+    """Mutable per-drive state threaded through every drive step."""
 
     gate: Gate | None
     duty: SensorDutyCycle
     battery: BatteryState
     # Per-drive health-monitor state machine (fresh per run); it steps
-    # exactly once per frame in both execution modes.
+    # exactly once per frame.
     monitor: HealthMonitor = field(default_factory=HealthMonitor)
     # Whether the health monitor supplies limp-home masks this drive:
-    # the runner's global switch AND the policy's own opt-in (gates
-    # trained on drive streams run unmasked, see repro.core.training_drive).
+    # the policy's own opt-in (gates trained on drive streams run
+    # unmasked, see repro.core.training_drive).
     mask_faults: bool = True
     # Guard-fallback counts for this drive (resilience diagnostics).
     guard_nonfinite_gate: int = 0
     guard_nonfinite_detections: int = 0
     # Active telemetry for this drive, or None (the common case) —
-    # the per-frame paths branch on this once to stay zero-overhead
-    # when telemetry is off.
+    # the drive step branches on this once to stay zero-overhead when
+    # telemetry is off.
     telemetry: Telemetry | None = None
     records: list[FrameRecord] = field(default_factory=list)
     detections_per_frame: list = field(default_factory=list)
@@ -395,20 +396,25 @@ class _DriveState:
 class ClosedLoopRunner:
     """Run perception policies closed-loop over scripted drives.
 
-    Two execution modes produce bit-identical :class:`DriveTrace`s:
+    Every drive advances through one per-frame pipeline, :meth:`_step`,
+    over an ordered list of ``(frame, spec, policy, state)`` items:
 
-    * ``window=1`` (default) — the sequential reference path: one
-      stem/gate/branch pass per frame, exactly as a deployed single
-      stream would run.
-    * ``window=W>1`` — the batched hot path: stems and the gate's conv
-      trunk run once per W-frame lookahead window, and branch inference
-      is gathered across the window so each needed branch executes one
-      sub-batch instead of per-frame batches of one.  All batched
-      stages are batch-invariant (verified by the equivalence tests),
-      so the trace is exactly the sequential trace, only faster.
-      Policy decisions and battery accounting always advance frame by
-      frame inside the window, so state-feedback policies (SoC-aware
-      lambda_E) see exactly the sequential battery trajectory.
+    * ``run(window=1)`` (default) steps one frame at a time, exactly as
+      a deployed single stream would run;
+    * ``run(window=W>1)`` steps W-frame lookahead windows of one drive;
+    * :meth:`serve_batch` steps one frame from each of several
+      concurrent drives (``repro.serving``).
+
+    Within a step, stems and each gate's trunk run once over the items,
+    and branch inference is gathered across them so each needed branch
+    executes one sub-batch.  All batched stages are batch-invariant
+    (verified by the equivalence tests), so every item list yields the
+    same trace.  Policy decisions and battery accounting always advance
+    item by item, so state-feedback policies (SoC-aware lambda_E) see
+    exactly the frame-by-frame battery trajectory.
+
+    With telemetry on, each step emits ``step(size=n) > gate /
+    frame x n / branches`` spans.
     """
 
     def __init__(
@@ -419,7 +425,6 @@ class ClosedLoopRunner:
         overhead_factor: float = 1.5,
         cycle_hz: float = FUSION_CYCLE_HZ,
         parallel_engines: bool = False,
-        mask_faulted_configs: bool = True,
         cache: BranchOutputCache | None = None,
         telemetry: Telemetry | None = None,
         health: HealthMonitorConfig | None = None,
@@ -430,7 +435,6 @@ class ClosedLoopRunner:
         self.overhead_factor = float(overhead_factor)
         self.cycle_hz = float(cycle_hz)
         self.parallel_engines = bool(parallel_engines)
-        self.mask_faulted_configs = bool(mask_faulted_configs)
         self.cache = cache
         # Explicit injection wins over the process default (get_default),
         # which is inert unless telemetry.set_default installed something.
@@ -442,8 +446,7 @@ class ClosedLoopRunner:
         # ladder and attaches a ``health`` block to each trace.
         self.health = health
         # Per-runner memos: the model library, cost tables and cycle rate
-        # are fixed, so these pure lookups never need recomputing
-        # (sequential mode rebuilt them every frame before this existed).
+        # are fixed, so these pure lookups never need recomputing.
         self._healthy_memo: dict[tuple[str, ...], np.ndarray] = {}
         self._limp_memo: dict[tuple[str, ...], np.ndarray] = {}
         self._cheapest_mask: np.ndarray | None = None
@@ -451,6 +454,14 @@ class ClosedLoopRunner:
         self._config_index: dict[str, ModelConfiguration] | None = None
         self._cost_memo: dict[tuple[str, bool], tuple[float, float]] = {}
         self._sensor_energy_memo: dict[tuple[bool, ...], float] = {}
+
+    def _telemetry(self) -> Telemetry:
+        return self.telemetry if self.telemetry is not None else get_default()
+
+    def _monitor(self) -> HealthMonitor:
+        return HealthMonitor(
+            self.health if self.health is not None else DEFAULT_HEALTH_CONFIG
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -469,20 +480,20 @@ class ClosedLoopRunner:
     ) -> DriveTrace:
         """Drive ``spec`` under ``policy``; returns the full trace.
 
-        ``window`` selects the execution mode (see class docstring).
-        ``frames`` optionally supplies pre-rendered frames for exactly
-        ``(spec, seed)`` — the sweep engine renders each scenario once
-        and shares the stream across policies.  ``compiled=True``
-        replays stems, the gate trunk and branch trunks through the
-        ``repro.nn.engine`` kernel programs (traced once per shape,
-        shared across policies via the process-wide LRU); traces are
-        bit-identical to eager execution, and ``REPRO_NO_COMPILE=1``
+        ``window`` is how many frames each step takes (see class
+        docstring).  ``frames`` optionally supplies pre-rendered frames
+        for exactly ``(spec, seed)`` — the sweep engine renders each
+        scenario once and shares the stream across policies.
+        ``compiled=True`` replays stems, the gate trunk and branch trunks
+        through the ``repro.nn.engine`` kernel programs (traced once per
+        shape, shared across policies via the process-wide LRU); traces
+        are bit-identical to eager execution, and ``REPRO_NO_COMPILE=1``
         force-disables it.
 
-        Checkpoint/resume (sequential ``window=1`` mode only):
-        ``on_checkpoint`` receives a :class:`DriveCheckpoint` every
-        ``checkpoint_every`` frames (default: every frame); a later call
-        with ``resume_from=checkpoint`` restores all runner state and
+        Checkpoint/resume (``window=1`` only): ``on_checkpoint`` receives
+        a :class:`DriveCheckpoint` every ``checkpoint_every`` frames
+        (default: every frame); a later call with
+        ``resume_from=checkpoint`` restores all runner state and
         continues the drive, producing a trace bit-identical —
         ``records_hex()`` and all — to the uninterrupted run.
 
@@ -503,15 +514,12 @@ class ClosedLoopRunner:
         if (checkpointing or resume_from is not None) and window != 1:
             raise ValueError(
                 "checkpoint/resume requires window=1 (checkpoints are "
-                "frame-granular; the sequential reference path)"
+                "frame-granular)"
             )
         interval = 1 if checkpoint_every is None else int(checkpoint_every)
         if interval < 1:
             raise ValueError("checkpoint_every must be >= 1")
 
-        cursor: DriveCursor | None = None
-        frame_windows = None
-        iterator = None
         if resume_from is not None:
             if battery is not None:
                 raise ValueError(
@@ -528,57 +536,27 @@ class ClosedLoopRunner:
                     f"seed={resume_from.seed}) vs requested "
                     f"({spec.name!r}, {policy.name!r}, seed={int(seed)})"
                 )
-            done = resume_from.frame_index
-            if frames is not None:
-                iterator = iter(frames[done:])
-            else:
-                source = DriveSource(
-                    spec, seed=seed, image_size=self.model.image_size
-                )
-                cursor = self.resume_cursor(source, resume_from)
-                iterator = cursor
             state = self.restore_drive(spec, policy, resume_from)
-            battery = state.battery
             initial_soc = resume_from.initial_soc
-            tel = self.telemetry if self.telemetry is not None else get_default()
-            active = tel.active
+            done = resume_from.frame_index
         else:
+            state = self.open_drive(policy, battery)
+            initial_soc = state.battery.soc
             done = 0
-            if frames is None:
-                source = DriveSource(
-                    spec, seed=seed, image_size=self.model.image_size
-                )
-                if window == 1:
-                    cursor = iter(source)
-                    iterator = cursor
-                else:
-                    frame_windows = source.prefetch(window)
-            elif window == 1:
-                iterator = iter(frames)
-            else:
-                frame_windows = (
-                    frames[start : start + window]
-                    for start in range(0, len(frames), window)
-                )
-            battery = battery or BatteryState(vehicle=self.vehicle)
-            initial_soc = battery.soc
-            policy.bind(self.model.library, self.model.energies())
-            policy.reset()
-            tel = self.telemetry if self.telemetry is not None else get_default()
-            active = tel.active
-            state = _DriveState(
-                gate=policy.runtime_gate,
-                duty=SensorDutyCycle(),
-                battery=battery,
-                monitor=HealthMonitor(
-                    self.health if self.health is not None else DEFAULT_HEALTH_CONFIG
-                ),
-                mask_faults=self.mask_faulted_configs and policy.use_fault_masking,
-                telemetry=tel if active else None,
+        cursor: DriveCursor | None = None
+        if frames is not None:
+            iterator = iter(frames[done:])
+        else:
+            source = DriveSource(spec, seed=seed, image_size=self.model.image_size)
+            cursor = (
+                self.resume_cursor(source, resume_from)
+                if resume_from is not None else iter(source)
             )
+            iterator = cursor
+        tel = self._telemetry()
         # Engine/branch-cache counters are process-wide; bracket the
         # drive so only this drive's activity lands in the registry.
-        stats_on = active and tel.metrics.enabled
+        stats_on = tel.active and tel.metrics.enabled
         engine_before = engine.engine_stats() if stats_on else None
         cache_before = (
             self.cache.stats() if stats_on and self.cache is not None else None
@@ -590,64 +568,30 @@ class ClosedLoopRunner:
             window=window, compiled=bool(compiled),
         ) as drive_span:
             with compile_ctx:
-                if window == 1:
-                    for frame in iterator:
-                        self._step_sequential(frame, spec, policy, state)
-                        done += 1
-                        if checkpointing and done % interval == 0:
-                            on_checkpoint(self.checkpoint_drive(
-                                spec, policy, state,
-                                seed=seed, initial_soc=initial_soc,
-                                frame_index=done, cursor=cursor,
-                            ))
-                else:
-                    for chunk in frame_windows:
-                        self._step_window(chunk, spec, policy, state)
-            drive_span.set(frames=len(state.records), final_soc=battery.soc)
-
-        trace = DriveTrace(
-            scenario=spec.name,
-            policy=policy.name,
-            records=state.records,
-            map_result=evaluate_map(
-                state.detections_per_frame, state.gt_boxes, state.gt_labels
-            ),
-            final_soc=battery.soc,
-            policy_info=policy.describe(),
-            initial_soc=initial_soc,
+                while chunk := list(islice(iterator, window)):
+                    self._step([(frame, spec, policy, state) for frame in chunk])
+                    done += len(chunk)
+                    if checkpointing and done % interval == 0:
+                        on_checkpoint(self.checkpoint_drive(
+                            spec, policy, state,
+                            seed=seed, initial_soc=initial_soc,
+                            frame_index=done, cursor=cursor,
+                        ))
+            drive_span.set(frames=len(state.records), final_soc=state.battery.soc)
+        return self.close_drive(
+            spec, policy, state, initial_soc,
+            collect_detections=collect_detections,
+            engine_before=engine_before, cache_before=cache_before,
         )
-        if collect_detections:
-            trace.detections = list(state.detections_per_frame)
-        if self.health is not None:
-            # Built purely from frame records + the monitor's own
-            # deterministic counters, so the block is identical across
-            # sequential/windowed, eager/compiled and pool-sharded runs.
-            trace.health = {
-                "config": asdict(self.health),
-                "occupancy": trace.health_histogram,
-                "transitions": state.monitor.transitions,
-                "guards": {
-                    "nonfinite_gate": state.guard_nonfinite_gate,
-                    "nonfinite_detections": state.guard_nonfinite_detections,
-                },
-            }
-        if stats_on:
-            trace.metrics = _drive_metrics_block(trace)
-            self._publish_metrics(
-                tel.metrics, trace, policy, battery, state,
-                engine_before, cache_before,
-            )
-        return trace
 
     # ------------------------------------------------------------------
-    # Serving seams: externally scheduled drives (repro.serving)
+    # Drive lifecycle: open / step / close
     # ------------------------------------------------------------------
     # ``run()`` owns a whole drive's loop.  A serving scheduler instead
-    # interleaves frames from many concurrent drives, so the lifecycle
-    # splits into open (fresh per-stream state) / step (one cross-stream
-    # batch, or the sequential reference per frame) / close (trace
-    # assembly + metrics).  Everything numeric goes through the same
-    # helpers ``run()`` uses, so served streams are bit-identical to
+    # interleaves frames from many concurrent drives, so it calls the
+    # same lifecycle directly: open (fresh per-stream state), step (one
+    # cross-stream batch) and close (trace assembly + metrics).  Both go
+    # through :meth:`_step`, so served streams are bit-identical to
     # offline drives by construction.
 
     def open_drive(
@@ -655,14 +599,13 @@ class ClosedLoopRunner:
         policy: PerceptionPolicy,
         battery: BatteryState | None = None,
     ) -> "_DriveState":
-        """Fresh per-drive state for an externally scheduled drive.
+        """Fresh per-drive state for a drive.
 
         Binds and resets ``policy`` (each concurrent stream must own its
         policy *instance* — decision state is per-drive) and builds the
-        same :class:`_DriveState` ``run()`` would: per-stream duty cycle,
-        battery and health monitor (PR 7's monitor shards per stream,
-        never per worker).  Capture ``state.battery.soc`` before the
-        first step if you need the initial charge for
+        per-stream duty cycle, battery and health monitor (monitors shard
+        per stream, never per worker).  Capture ``state.battery.soc``
+        before the first step if you need the initial charge for
         :meth:`close_drive`.
         """
         if not isinstance(policy, PerceptionPolicy):
@@ -671,15 +614,13 @@ class ClosedLoopRunner:
             )
         policy.bind(self.model.library, self.model.energies())
         policy.reset()
-        tel = self.telemetry if self.telemetry is not None else get_default()
+        tel = self._telemetry()
         return _DriveState(
             gate=policy.runtime_gate,
             duty=SensorDutyCycle(),
             battery=battery or BatteryState(vehicle=self.vehicle),
-            monitor=HealthMonitor(
-                self.health if self.health is not None else DEFAULT_HEALTH_CONFIG
-            ),
-            mask_faults=self.mask_faulted_configs and policy.use_fault_masking,
+            monitor=self._monitor(),
+            mask_faults=policy.use_fault_masking,
             telemetry=tel if tel.active else None,
         )
 
@@ -692,107 +633,15 @@ class ClosedLoopRunner:
 
         ``items`` pairs one pending frame with its stream's
         ``(spec, policy, state)`` — at most one frame per stream, since a
-        stream's next frame depends on the state this one advances.
-        Stems and each distinct gate's trunk run once over the combined
-        batch; branch inference is gathered across all streams.  Every
-        batched stage is batch-invariant and per-stream state is touched
-        only by its own frame in item order, so each stream's records
-        are bit-identical to running it alone.
+        stream's next frame is only known once this one has been served.
+        Every batched stage is batch-invariant and per-stream state is
+        touched only by its own frame in item order, so each stream's
+        records are bit-identical to running it alone.
         """
         if len({id(item[3]) for item in items}) != len(items):
             raise ValueError("serve_batch: at most one frame per stream "
                              "per batch")
-        with batch_invariant():
-            self._serve_batch(items)
-
-    def _serve_batch(self, items) -> None:
-        samples = [frame.sample for frame, _, _, _ in items]
-        n = len(items)
-        predicted: list = [None] * n
-        directs: list[str | None] = [None] * n
-        features_of: list[dict | None] = [None] * n
-        # Group gate work by *base* gate object.  Streams built from the
-        # same policy name share the underlying trained gate (it lives in
-        # ``system.gates``) but each wraps it in its own stateful
-        # ``TemporalGate``; batching the base inference and applying each
-        # stream's smoother to its own row afterwards is bit-identical
-        # (one row = one state update) and is where the cross-stream
-        # throughput comes from.
-        direct_groups: dict[int, list[int]] = {}
-        gate_groups: dict[int, list[int]] = {}
-        bases: dict[int, Gate] = {}
-        for i, (_, _, _, state) in enumerate(items):
-            gate = state.gate
-            if gate is None:
-                continue
-            if gate.bypasses_optimization:
-                bases[id(gate)] = gate
-                direct_groups.setdefault(id(gate), []).append(i)
-                continue
-            base = gate.base if isinstance(gate, TemporalGate) else gate
-            bases[id(base)] = base
-            gate_groups.setdefault(id(base), []).append(i)
-        for key, rows in direct_groups.items():
-            names = bases[key].select_direct([samples[i].context for i in rows])
-            assert names is not None
-            for j, i in enumerate(rows):
-                directs[i] = names[j]
-        for key, rows in gate_groups.items():
-            base = bases[key]
-            sub = [samples[i] for i in rows]
-            features = self.model.stem_features_cached(sub, None, self.cache)
-            gate_input = self.model.gate_features(features)
-            rows_pred = base.predict_losses_windowed(
-                gate_input,
-                [s.context for s in sub],
-                [s.sample_id for s in sub],
-            )
-            for j, i in enumerate(rows):
-                gate = items[i][3].gate
-                row = rows_pred[j : j + 1]
-                if isinstance(gate, TemporalGate):
-                    row = gate.smooth(row)
-                predicted[i] = row[0]
-                features_of[i] = features
-
-        decisions: list[PolicyDecision] = []
-        accounts: list[_FrameAccount] = []
-        assessments: list[HealthAssessment] = []
-        for i, (frame, spec, policy, state) in enumerate(items):
-            assessment = state.monitor.observe(
-                frame.faulted_sensors, state.battery.soc
-            )
-            row = predicted[i]
-            guarded = row is not None and not bool(np.isfinite(row).all())
-            if guarded:
-                row = None
-            observation = PolicyObservation(
-                time_index=frame.time_index,
-                context=frame.context,
-                soc=state.battery.soc,
-                faulted_sensors=frame.faulted_sensors,
-                healthy_mask=self._mask_for(assessment, frame, state),
-                predicted_losses=row,
-                direct_selection=directs[i],
-                features=features_of[i],
-            )
-            decision = self._decide(policy, observation, state, guarded)
-            account = self._account(frame, spec, policy, decision, state)
-            tel = state.telemetry
-            if tel is not None and tel.metrics.enabled:
-                policy.record_decision(decision, tel.metrics)
-            decisions.append(decision)
-            accounts.append(account)
-            assessments.append(assessment)
-
-        # One branch execution across all streams; stem rows computed in
-        # the gate phase are reused through the shared cache.
-        frames = [frame for frame, _, _, _ in items]
-        fused = self._execute_window(frames, samples, decisions, None)
-        for (frame, _, _, state), decision, account, detections, assessment in zip(
-            items, decisions, accounts, fused, assessments
-        ):
-            self._record(frame, decision, account, detections, state, assessment)
+        self._step(items)
 
     def close_drive(
         self,
@@ -800,13 +649,21 @@ class ClosedLoopRunner:
         policy: PerceptionPolicy,
         state: "_DriveState",
         initial_soc: float,
+        *,
+        collect_detections: bool = False,
+        engine_before: dict | None = None,
+        cache_before: dict | None = None,
     ) -> DriveTrace:
-        """Finalize an externally scheduled drive into a trace.
+        """Finalize a drive into a trace.
 
-        The exact tail of :meth:`run`: trace assembly, the optional
-        health block, and metrics publication.  Engine/branch-cache
-        deltas are process-wide and cannot be attributed to one
-        interleaved stream, so only frame-level metrics are published.
+        Assembles the trace, attaches the optional health block and, on
+        metrics-enabled drives, publishes the drive into the registry.
+        ``engine_before``/``cache_before`` are process-wide stats taken
+        when the drive started; when given, their deltas are published
+        too (a serving scheduler interleaves streams, so it cannot
+        attribute those to one drive and passes neither).
+        ``collect_detections`` keeps the per-frame fused detections on
+        ``trace.detections``.
         """
         trace = DriveTrace(
             scenario=spec.name,
@@ -819,7 +676,12 @@ class ClosedLoopRunner:
             policy_info=policy.describe(),
             initial_soc=initial_soc,
         )
+        if collect_detections:
+            trace.detections = list(state.detections_per_frame)
         if self.health is not None:
+            # Built purely from frame records + the monitor's own
+            # deterministic counters, so the block is identical across
+            # every step size, eager/compiled and pool-sharded runs.
             trace.health = {
                 "config": asdict(self.health),
                 "occupancy": trace.health_histogram,
@@ -833,7 +695,7 @@ class ClosedLoopRunner:
         if tel is not None and tel.metrics.enabled:
             trace.metrics = _drive_metrics_block(trace)
             self._publish_metrics(
-                tel.metrics, trace, policy, state.battery, state, None, None
+                tel.metrics, trace, policy, state, engine_before, cache_before
             )
         return trace
 
@@ -919,13 +781,11 @@ class ClosedLoopRunner:
         # after construction (__post_init__ pins both to soc).
         battery.soc_min = float(checkpoint.battery_state["soc_min"])
         battery.soc_max = float(checkpoint.battery_state["soc_max"])
-        monitor = HealthMonitor(
-            self.health if self.health is not None else DEFAULT_HEALTH_CONFIG
-        )
+        monitor = self._monitor()
         monitor.load_state_dict(checkpoint.monitor_state)
         duty = SensorDutyCycle()
         duty.load_state_dict(checkpoint.duty_state)
-        tel = self.telemetry if self.telemetry is not None else get_default()
+        tel = self._telemetry()
         return _DriveState(
             gate=policy.runtime_gate,
             duty=duty,
@@ -966,7 +826,6 @@ class ClosedLoopRunner:
         metrics,
         trace: DriveTrace,
         policy: PerceptionPolicy,
-        battery: BatteryState,
         state: "_DriveState",
         engine_before: dict | None,
         cache_before: dict | None,
@@ -990,6 +849,7 @@ class ClosedLoopRunner:
             energy.observe(record.energy_joules)
         metrics.counter("drive.frames", policy=pol).inc(trace.num_frames)
         metrics.counter("drive.switches", policy=pol).inc(trace.switch_count)
+        battery = state.battery
         metrics.gauge("battery.soc.final", policy=pol).set(battery.soc)
         metrics.gauge("battery.soc.min", policy=pol).set(battery.soc_min)
         metrics.gauge("battery.soc.max", policy=pol).set(battery.soc_max)
@@ -1040,194 +900,65 @@ class ClosedLoopRunner:
                         ).inc(delta)
 
     # ------------------------------------------------------------------
-    # Sequential reference path
+    # The drive step
     # ------------------------------------------------------------------
-    def _step_sequential(
+    def _step(
         self,
-        frame: DriveFrame,
-        spec: ScenarioSpec,
-        policy: PerceptionPolicy,
-        state: "_DriveState",
+        items: list[tuple[DriveFrame, ScenarioSpec, PerceptionPolicy,
+                          "_DriveState"]],
     ) -> None:
-        tel = state.telemetry
-        if tel is None:  # zero-overhead reference path
-            observation, features, assessment, guarded = self._observe(frame, state)
-            decision = self._decide(policy, observation, state, guarded)
-            detections = self._execute(frame, decision.config, features)
-            account = self._account(frame, spec, policy, decision, state)
-            self._record(frame, decision, account, detections, state, assessment)
-            return
-        tracer = tel.tracer
-        with tracer.span("frame", t=frame.time_index) as frame_span:
-            with tracer.span("gate"):
-                observation, features, assessment, guarded = self._observe(
-                    frame, state
-                )
-            decision = self._decide(policy, observation, state, guarded)
-            config = decision.config
-            cached = (
-                self.cache.peek_fused(frame.sample, config.name)
-                if self.cache is not None
-                else False
-            )
-            with tracer.span(f"branch:{config.name}", cache_hit=cached):
-                detections = self._execute(frame, config, features)
-            account = self._account(frame, spec, policy, decision, state)
-            if tel.metrics.enabled:
-                policy.record_decision(decision, tel.metrics)
-            frame_span.set(
-                config=config.name,
-                latency_ms=account.latency_ms,
-                energy_j=account.platform_joules + account.sensor_joules,
-                soc=account.soc,
-            )
-            if assessment.state is not HealthState.NOMINAL:
-                frame_span.set(health=assessment.state.value)
-            if decision.fault_masked:
-                frame_span.set(fault_masked=True)
-            self._record(frame, decision, account, detections, state, assessment)
+        """Advance every item's drive by its frame, in item order.
 
-    def _observe(
-        self, frame: DriveFrame, state: "_DriveState"
-    ) -> tuple[PolicyObservation, dict | None, HealthAssessment, bool]:
-        """Build one frame's observation (sequential mode).
-
-        Steps the health monitor (exactly once per frame, with the
-        pre-drain SoC), runs the policy's gate, and applies the
-        non-finite-losses guard.  Returns ``(observation, stem_features,
-        assessment, guarded)`` — the features are reused by
-        :meth:`_execute` so adaptive frames run each stem exactly once;
-        ``guarded`` means the gate emitted NaN/inf losses and the caller
-        must take the fallback decision instead of the policy's.
+        ``items`` is an ordered list of ``(frame, spec, policy, state)``;
+        the same ``state`` may appear several times, in frame order.
+        Gate inference batches over the items, decisions and accounting
+        advance item by item (observation *i* carries the SoC after item
+        *i-1*'s drain), one branch execution serves all items, and the
+        records land in item order.
         """
-        assessment = state.monitor.observe(
-            frame.faulted_sensors, state.battery.soc
-        )
-        gate = state.gate
-        features = None
-        losses = None
-        direct = None
-        guarded = False
-        if gate is not None:
-            sample = frame.sample
-            if gate.bypasses_optimization:
-                names = gate.select_direct([sample.context])
-                assert names is not None
-                direct = names[0]
-            else:
-                features = self.model.stem_features_cached([sample], None, self.cache)
-                gate_input = self.model.gate_features(features)
-                losses = gate.predict_losses(
-                    gate_input, [sample.context], [sample.sample_id]
-                )[0]
-                if not np.isfinite(losses).all():
-                    losses = None
-                    guarded = True
-        observation = PolicyObservation(
-            time_index=frame.time_index,
-            context=frame.context,
-            soc=state.battery.soc,
-            faulted_sensors=frame.faulted_sensors,
-            healthy_mask=self._mask_for(assessment, frame, state),
-            predicted_losses=losses,
-            direct_selection=direct,
-            features=features,
-        )
-        return observation, features, assessment, guarded
-
-    def _decide(
-        self,
-        policy: PerceptionPolicy,
-        observation: PolicyObservation,
-        state: "_DriveState",
-        guarded: bool,
-    ) -> PolicyDecision:
-        """The policy's decision — or the guard fallback on NaN losses."""
-        if guarded:
-            return self._fallback_decision(state)
-        return policy.decide(observation)
-
-    # ------------------------------------------------------------------
-    # Batched hot path
-    # ------------------------------------------------------------------
-    def _step_window(
-        self,
-        chunk: list[DriveFrame],
-        spec: ScenarioSpec,
-        policy: PerceptionPolicy,
-        state: "_DriveState",
-    ) -> None:
-        with batch_invariant():
-            self._run_window(chunk, spec, policy, state)
-
-    def _run_window(
-        self,
-        chunk: list[DriveFrame],
-        spec: ScenarioSpec,
-        policy: PerceptionPolicy,
-        state: "_DriveState",
-    ) -> None:
-        tel = state.telemetry
+        if not items:
+            return
+        tel = items[0][3].telemetry
         tracer = tel.tracer if tel is not None else _NULL_TRACER
-        metrics = tel.metrics if tel is not None and tel.metrics.enabled else None
-        with tracer.span("window", size=len(chunk)):
-            samples = [f.sample for f in chunk]
-            gate = state.gate
-            features = None
-            predicted = None
-            directs = None
+        with batch_invariant(), tracer.span("step", size=len(items)):
+            samples = [frame.sample for frame, _, _, _ in items]
             with tracer.span("gate"):
-                if gate is not None and gate.bypasses_optimization:
-                    directs = gate.select_direct([s.context for s in samples])
-                    assert directs is not None
-                elif gate is not None:
-                    features = self.model.stem_features_cached(
-                        samples, None, self.cache
-                    )
-                    gate_input = self.model.gate_features(features)
-                    predicted = gate.predict_losses_windowed(
-                        gate_input,
-                        [s.context for s in samples],
-                        [s.sample_id for s in samples],
-                    )
+                predicted, directs, features_of, features = self._gate(
+                    items, samples
+                )
 
-            # Decisions and battery/cost accounting advance strictly frame by
-            # frame: observation i carries the SoC after frame i-1's drain, so
-            # state-feedback policies match the sequential path bit for bit.
-            # (``frame`` spans here time only the decide+account step — the
-            # batched branch wall-clock is shared across the window and shows
-            # up under the sibling ``branches`` span instead.)
+            # ``frame`` spans time only the decide+account step — the
+            # batched branch work is shared across the items and shows up
+            # under the sibling ``branches`` span instead.
             decisions: list[PolicyDecision] = []
             accounts: list[_FrameAccount] = []
             assessments: list[HealthAssessment] = []
-            for i, frame in enumerate(chunk):
+            for i, (frame, spec, policy, state) in enumerate(items):
                 with tracer.span("frame", t=frame.time_index) as frame_span:
-                    # Monitor steps with the pre-drain SoC, exactly as
-                    # the sequential path's _observe does.
+                    # The monitor steps once per frame, with the
+                    # pre-drain SoC.
                     assessment = state.monitor.observe(
                         frame.faulted_sensors, state.battery.soc
                     )
-                    assessments.append(assessment)
-                    row = None if predicted is None else predicted[i]
+                    row = predicted[i]
                     guarded = row is not None and not bool(np.isfinite(row).all())
-                    if guarded:
-                        row = None
                     observation = PolicyObservation(
                         time_index=frame.time_index,
                         context=frame.context,
                         soc=state.battery.soc,
                         faulted_sensors=frame.faulted_sensors,
                         healthy_mask=self._mask_for(assessment, frame, state),
-                        predicted_losses=row,
-                        direct_selection=None if directs is None else directs[i],
-                        features=features,
+                        predicted_losses=None if guarded else row,
+                        direct_selection=directs[i],
+                        features=features_of[i],
                     )
-                    decision = self._decide(policy, observation, state, guarded)
-                    decisions.append(decision)
+                    decision = (
+                        self._fallback_decision(state) if guarded
+                        else policy.decide(observation)
+                    )
                     account = self._account(frame, spec, policy, decision, state)
-                    accounts.append(account)
-                    if metrics is not None:
-                        policy.record_decision(decision, metrics)
+                    if state.telemetry is not None and state.telemetry.metrics.enabled:
+                        policy.record_decision(decision, state.telemetry.metrics)
                     frame_span.set(
                         config=decision.config.name,
                         latency_ms=account.latency_ms,
@@ -1238,23 +969,84 @@ class ClosedLoopRunner:
                         frame_span.set(health=assessment.state.value)
                     if decision.fault_masked:
                         frame_span.set(fault_masked=True)
+                decisions.append(decision)
+                accounts.append(account)
+                assessments.append(assessment)
 
             with tracer.span("branches"):
-                fused = self._execute_window(chunk, samples, decisions, features)
-            for frame, decision, account, detections, assessment in zip(
-                chunk, decisions, accounts, fused, assessments
+                fused = self._execute_window(samples, decisions, features)
+            for (frame, _, _, state), decision, account, detections, assessment in zip(
+                items, decisions, accounts, fused, assessments
             ):
                 self._record(frame, decision, account, detections, state, assessment)
 
+    def _gate(self, items, samples):
+        """Gate inference for every item.
+
+        Returns per-item predicted-loss rows, direct selections and stem
+        features, plus the stem features of all items when one gate group
+        covered them (branch execution then reuses them instead of
+        running stems again).
+
+        Gate work is grouped by *base* gate object.  Drives built from
+        the same policy name share the underlying trained gate (it lives
+        in ``system.gates``) but each wraps it in its own stateful
+        ``TemporalGate``; running the base inference once per group and
+        then applying each item's smoother to its own row, in item order,
+        is bit-identical (one row = one state update).
+        """
+        n = len(items)
+        predicted: list = [None] * n
+        directs: list[str | None] = [None] * n
+        features_of: list[dict | None] = [None] * n
+        direct_groups: dict[int, list[int]] = {}
+        gate_groups: dict[int, list[int]] = {}
+        bases: dict[int, Gate] = {}
+        for i, (_, _, _, state) in enumerate(items):
+            gate = state.gate
+            if gate is None:
+                continue
+            if gate.bypasses_optimization:
+                bases[id(gate)] = gate
+                direct_groups.setdefault(id(gate), []).append(i)
+                continue
+            base = gate.base if isinstance(gate, TemporalGate) else gate
+            bases[id(base)] = base
+            gate_groups.setdefault(id(base), []).append(i)
+        for key, rows in direct_groups.items():
+            names = bases[key].select_direct([samples[i].context for i in rows])
+            assert names is not None
+            for j, i in enumerate(rows):
+                directs[i] = names[j]
+        features = None
+        for key, rows in gate_groups.items():
+            sub = [samples[i] for i in rows]
+            features = self.model.stem_features_cached(sub, None, self.cache)
+            rows_pred = bases[key].predict_losses_windowed(
+                self.model.gate_features(features),
+                [s.context for s in sub],
+                [s.sample_id for s in sub],
+            )
+            for j, i in enumerate(rows):
+                gate = items[i][3].gate
+                row = rows_pred[j : j + 1]
+                if isinstance(gate, TemporalGate):
+                    row = gate.smooth(row)
+                predicted[i] = row[0]
+                features_of[i] = features
+        # One group covering every item: its stems serve branch execution.
+        if len(gate_groups) != 1 or None in features_of:
+            features = None
+        return predicted, directs, features_of, features
+
     def _execute_window(
         self,
-        chunk: list[DriveFrame],
         samples: list,
         decisions: list[PolicyDecision],
         features: dict | None,
     ) -> list:
-        """Fused detections per frame, batching branch runs across the window."""
-        fused: list = [None] * len(chunk)
+        """Fused detections per item, batching branch runs across items."""
+        fused: list = [None] * len(samples)
         branch_index: dict[str, list[int]] = {}
         pending: list[int] = []
         for i, decision in enumerate(decisions):
@@ -1286,7 +1078,7 @@ class ClosedLoopRunner:
         return fused
 
     # ------------------------------------------------------------------
-    # Shared per-frame bookkeeping (identical arithmetic in both modes)
+    # Per-frame bookkeeping
     # ------------------------------------------------------------------
     def _account(
         self,
@@ -1488,20 +1280,6 @@ class ClosedLoopRunner:
         return PolicyDecision(
             config=config, diagnostics={"guard": "nonfinite_gate"}
         )
-
-    def _execute(self, frame: DriveFrame, config: ModelConfiguration, features):
-        """Run the chosen configuration's branches and late-fuse."""
-        if self.cache is not None:
-            hit = self.cache.get_fused(frame.sample, config.name)
-            if hit is not None:
-                return hit
-        per_branch = self.model.branch_outputs(
-            [frame.sample], config.branches, features=features, cache=self.cache
-        )
-        fused = self.model.fuse_config(config, per_branch, 0)
-        if self.cache is not None:
-            self.cache.put_fused(frame.sample, config.name, fused)
-        return fused
 
     def _cost(
         self, config: ModelConfiguration, powers_all_stems: bool

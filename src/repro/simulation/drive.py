@@ -154,11 +154,10 @@ class DriveSource:
     def prefetch(self, window: int):
         """Yield the stream as consecutive lists of up to ``window`` frames.
 
-        The batched closed-loop runner pulls its lookahead windows
-        through this, so windowing reuses the single lazy frame stream
-        (one RNG state, one scene evolution) instead of duplicating the
-        generator logic: the frames are the exact objects ``__iter__``
-        would have yielded, in the same order.
+        Windowing reuses the single lazy frame stream (one RNG state,
+        one scene evolution) instead of duplicating the generator logic:
+        the frames are the exact objects ``__iter__`` would have
+        yielded, in the same order.
         """
         if window < 1:
             raise ValueError("prefetch window must be >= 1")

@@ -7,7 +7,7 @@ drives stay bit-identical whether or not telemetry is on (telemetry
 only *reads* values; it never participates in arithmetic):
 
 * :mod:`~repro.telemetry.tracing` — nested monotonic-clock spans
-  (``drive > frame > gate / branch:<config>``) with per-span
+  (``drive > step > gate / frame / branches``) with per-span
   attributes, an in-memory tree and JSONL export;
 * :mod:`~repro.telemetry.metrics` — counters / gauges / fixed-bucket
   histograms keyed by name+labels, with p50/p90/p99 summaries computed

@@ -1,9 +1,9 @@
 """Nested spans over the monotonic clock, with JSONL export.
 
 A :class:`Tracer` records a tree of :class:`Span`s —
-``drive > frame > gate / branch:camera_lidar`` — each carrying
-wall-free monotonic timings plus arbitrary attributes (configuration
-chosen, energy J, SoC, cache hit/miss, window size).  Spans are context
+``drive > step > gate / frame / branches`` — each carrying wall-free
+monotonic timings plus arbitrary attributes (configuration chosen,
+energy J, SoC, step size).  Spans are context
 managers and **exception-safe**: a span that unwinds through an error
 is still closed and timed, tagged with the exception type, and the
 stack is restored, so a crashing sweep worker leaves a readable trace

@@ -126,16 +126,6 @@ class TestUnmaskedClosedLoop:
         windowed = runner.run(self.SPEC, policy, seed=3, window=8)
         assert sequential.records_hex() == windowed.records_hex()
 
-    def test_runner_switch_still_disables_masking_globally(self, drive_system):
-        runner = ClosedLoopRunner(
-            drive_system.model, cache=BranchOutputCache(),
-            mask_faulted_configs=False,
-        )
-        trace = runner.run(
-            self.SPEC, build_policy("ecofusion_attention", drive_system), seed=0
-        )
-        assert all(not r.fault_masked for r in trace.records)
-
 
 class TestSweepRoundTrip:
     def test_process_pool_shards_drive_policy(self, drive_system):

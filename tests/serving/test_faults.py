@@ -224,6 +224,32 @@ class TestRetryAndQuarantine:
         )
         assert handle.result().records_hex() == reference.records_hex()
 
+    def test_failed_frame_source_retries_to_bit_identical_trace(
+        self, tiny_system
+    ):
+        # A frame source raising mid-drive fails the stream like a failed
+        # step: it restores from its checkpoint onto a fresh source.
+        service = DriveService(
+            tiny_system, ServingConfig(compiled=False, errors=ERRORS)
+        )
+        handle = service.submit(request(seed=0))
+        service._tick()  # admit + first frame
+
+        def dead_source():
+            raise RuntimeError("frame source died")
+            yield
+
+        (stream,) = service._workers[0].streams
+        stream.frames = dead_source()
+        drain(service, [handle])
+        assert service.stats()["retried"] == 1
+        spec = scaled(get_scenario("highway_commute"), SCALE)
+        reference = ClosedLoopRunner(tiny_system.model).run(
+            spec, get_policy_spec("static_early").build(tiny_system),
+            seed=0, window=1,
+        )
+        assert handle.result().records_hex() == reference.records_hex()
+
 
 class TestIdleScheduler:
     def test_idle_service_does_not_busy_wake(self, tiny_system):

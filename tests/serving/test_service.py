@@ -36,7 +36,6 @@ class TestConfigValidation:
         {"max_batch": 0},
         {"max_active_streams": 0},
         {"queue_capacity": -1},
-        {"ingest_workers": -1},
     ])
     def test_rejects_nonpositive_bounds(self, kwargs):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from repro.simulation import (
     scaled,
 )
 from repro.simulation.closed_loop import DRIVE_METRICS_SCHEMA_VERSION
+from repro.simulation.drive import DriveSource
 from repro.telemetry import (
     Telemetry,
     build_summary,
@@ -134,32 +135,53 @@ class TestDriveMetricsBlock:
 
 
 class TestRunnerWiring:
-    def test_sequential_span_tree_shape(self, tiny_system):
+    @pytest.mark.parametrize("mode", ["window=1", "window=4", "served"])
+    def test_step_span_tree_shape(self, tiny_system, mode):
+        """Every mode emits ``step > gate / frame x size / branches``,
+        one ``frame`` span per item carrying that frame's record."""
         tel = Telemetry.create(metrics=False)
-        trace = run_drive(tiny_system, telemetry=tel, window=1)
-        (drive,) = tel.tracer.roots
-        assert drive.name == "drive"
-        assert drive.attrs["frames"] == trace.num_frames
-        frames = [s for s in drive.children if s.name == "frame"]
-        assert len(frames) == trace.num_frames
-        for frame, record in zip(frames, trace.records):
-            names = [c.name for c in frame.children]
-            assert names[0] == "gate"
-            assert names[1] == f"branch:{record.config_name}"
+        if mode == "served":
+            # Two streams replaying one drive, one frame each per batch.
+            spec = scaled(get_scenario("highway_commute"), 0.06)
+            runner = ClosedLoopRunner(
+                tiny_system.model, cache=BranchOutputCache(), telemetry=tel
+            )
+            streams = []
+            for name in ("ecofusion_attention", "static_late"):
+                policy = build_policy(name, tiny_system)
+                streams.append((policy, runner.open_drive(policy)))
+            frames = DriveSource(
+                spec, image_size=tiny_system.model.image_size
+            ).materialize()
+            for frame in frames:
+                runner.serve_batch(
+                    [(frame, spec, policy, state) for policy, state in streams]
+                )
+            traces = [
+                runner.close_drive(spec, policy, state, 1.0)
+                for policy, state in streams
+            ]
+            records = [r for pair in zip(*(t.records for t in traces))
+                       for r in pair]
+            steps, size = tel.tracer.roots, 2
+        else:
+            size = int(mode.split("=")[1])
+            trace = run_drive(tiny_system, telemetry=tel, window=size)
+            (drive,) = tel.tracer.roots
+            assert drive.name == "drive"
+            assert drive.attrs["frames"] == trace.num_frames
+            steps, records = drive.children, trace.records
+        assert steps and all(s.name == "step" for s in steps)
+        assert all(s.attrs["size"] <= size for s in steps)
+        assert sum(s.attrs["size"] for s in steps) == len(records)
+        for step in steps:
+            assert [c.name for c in step.children] == (
+                ["gate"] + ["frame"] * step.attrs["size"] + ["branches"]
+            )
+        frames = [c for s in steps for c in s.children if c.name == "frame"]
+        for frame, record in zip(frames, records):
             assert frame.attrs["config"] == record.config_name
             assert frame.attrs["latency_ms"] == record.latency_ms
-
-    def test_windowed_span_tree_shape(self, tiny_system):
-        tel = Telemetry.create(metrics=False)
-        trace = run_drive(tiny_system, telemetry=tel, window=4)
-        (drive,) = tel.tracer.roots
-        windows = [s for s in drive.children if s.name == "window"]
-        assert windows and all(w.attrs["size"] <= 4 for w in windows)
-        assert sum(w.attrs["size"] for w in windows) == trace.num_frames
-        for w in windows:
-            names = [c.name for c in w.children]
-            assert names[0] == "gate" and names[-1] == "branches"
-            assert names.count("frame") == w.attrs["size"]
 
     def test_registry_reflects_the_drive(self, tiny_system):
         tel = Telemetry.create(tracing=False)
